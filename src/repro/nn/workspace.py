@@ -7,10 +7,12 @@ matrix, conv output, pooling scatter buffer, and gradient arrays —
 allocation and page-faulting costs that rival the GEMMs at smoke scale.
 
 A :class:`Workspace` is a caller-owned dict of flat 1-D arrays keyed by
-``(id(layer), tag)``.  Layers request views via :meth:`get` /
-:meth:`zeros`; a request that fits inside an existing buffer is served
-as a reshaped view of its prefix (so a shrinking batch never
-reallocates), otherwise the buffer is grown.  Layers never store the
+``(id(layer), tag)`` — or by a key shared across layers for scratch
+that never outlives one layer call, such as the conv backward's
+``("conv.backward", tag)`` buffers.  Layers request views via
+:meth:`get` / :meth:`zeros`; a request that fits inside an existing
+buffer is served as a reshaped view of its prefix (so a shrinking batch
+never reallocates), otherwise the buffer is grown.  Layers never store the
 workspace — it is threaded through ``forward(x, workspace=...)`` and
 carried to ``backward`` inside the immutable ctx tuple, which keeps the
 "no residual state on layers" guarantee intact.

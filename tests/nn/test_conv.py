@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ShapeError
-from repro.nn import Conv2D
+from repro.nn import Conv2D, Workspace, dtypes
 from repro.nn.conv import col2im, conv_output_size, im2col
 
 from tests.nn.gradcheck import check_layer_gradients
@@ -91,3 +91,88 @@ def test_asymmetric_kernel():
     layer = Conv2D(1, 2, (3, 5), rng=rng)
     out = layer.apply(rng.normal(size=(1, 1, 8, 10)))
     assert out.shape == (1, 2, 6, 6)
+
+
+# -- byte identity of the batch-last input gradient ---------------------------
+def _reference_col2im(cols, input_shape, kernel_h, kernel_w, stride, pad):
+    """The historical N-first col2im: one clipped scatter-add per kernel
+    offset, in i,j order, into an (N, C, H, W) gradient."""
+    n, c, h, w = input_shape
+    out_h = conv_output_size(h, kernel_h, stride, pad)
+    out_w = conv_output_size(w, kernel_w, stride, pad)
+    cols = cols.reshape(n, c, kernel_h, kernel_w, out_h, out_w)
+    grad = np.zeros((n, c, h, w), dtype=cols.dtype)
+    for i in range(kernel_h):
+        for j in range(kernel_w):
+            row_off, col_off = i - pad, j - pad
+            t0 = -(row_off // stride) if row_off < 0 else 0
+            u0 = -(col_off // stride) if col_off < 0 else 0
+            t1 = min(out_h, (h - 1 - row_off) // stride + 1)
+            u1 = min(out_w, (w - 1 - col_off) // stride + 1)
+            if t0 >= t1 or u0 >= u1:
+                continue
+            grad[:, :, row_off + stride * t0:
+                 row_off + stride * (t1 - 1) + 1:stride,
+                 col_off + stride * u0:
+                 col_off + stride * (u1 - 1) + 1:stride] += \
+                cols[:, :, i, j, t0:t1, u0:u1]
+    return grad
+
+
+def _reference_input_gradient(layer, ctx, grad_out):
+    """The historical Conv2D input gradient: an N-first ``Wᵀ @ grad_z``
+    GEMM per sample, folded by :func:`_reference_col2im`."""
+    input_shape, _, z, a, _ = ctx
+    grad_z = layer.activation.backward(grad_out, z, a)
+    n = grad_z.shape[0]
+    grad_cols = layer.weight.value.T @ grad_z.reshape(
+        n, layer.out_channels, -1)
+    kh, kw = layer.kernel_size
+    return _reference_col2im(grad_cols, input_shape, kh, kw, layer.stride,
+                             layer.padding)
+
+
+def _assert_matches_reference(layer, x, rng, ws):
+    _, ctx = layer.forward(x)
+    grad_out = rng.normal(
+        size=(x.shape[0],) + layer.output_shape(x.shape[1:])).astype(x.dtype)
+    expected = _reference_input_gradient(layer, ctx, grad_out)
+    assert expected.dtype == x.dtype
+    plain = layer.backward(ctx, grad_out, accumulate=False)
+    _, ws_ctx = layer.forward(x, workspace=ws)
+    pooled = layer.backward(ws_ctx, grad_out, accumulate=False)
+    for got in (plain, pooled):
+        assert got.dtype == x.dtype and got.shape == x.shape
+        assert got.tobytes() == expected.tobytes(), x.shape
+
+
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_input_gradient_byte_identical_to_n_first_reference(
+        dtype, kernel, stride, padding):
+    """The batch-last kernel reorders memory, never arithmetic: both the
+    plain and the workspace backward match the historical N-first loop
+    byte for byte, at either dtype."""
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+    ws = Workspace()
+    for batch in (1, 2, 7, 240):
+        for c_in in (1, 6):
+            with dtypes.default_dtype(dtype):
+                layer = Conv2D(c_in, 5, kernel, stride=stride,
+                               padding=padding, rng=rng)
+            x = rng.normal(size=(batch, c_in, 9, 9)).astype(dtype)
+            _assert_matches_reference(layer, x, rng, ws)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_input_gradient_byte_identical_for_one_position_output(dtype):
+    """A 1x1 output makes the historical per-sample product a GEMV."""
+    rng = np.random.default_rng(9)
+    ws = Workspace()
+    for batch in (1, 2, 7, 240):
+        with dtypes.default_dtype(dtype):
+            layer = Conv2D(6, 5, 3, rng=rng)
+        x = rng.normal(size=(batch, 6, 3, 3)).astype(dtype)
+        _assert_matches_reference(layer, x, rng, ws)

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from repro.core import AscentEngine, Hyperparams, Unconstrained
+from repro.models.lenet import build_lenet5
 from repro.nn import (Conv2D, Dense, Flatten, MaxPool2D, Network, Workspace,
                       dtypes)
+
+#: ``Workspace.nbytes()`` of float32 LeNet-5 at batch 240 after one warm
+#: ``gradient_joint``, with per-layer conv backward scratch (the N-first
+#: col2im); the shared batch-last scratch must not exceed it.
+LENET5_NBYTES_PER_LAYER_SCRATCH = 63_361_920
 
 
 def _net(name, seed):
@@ -16,6 +22,18 @@ def _net(name, seed):
         MaxPool2D(2, name="mp"),
         Flatten(name="f"),
         Dense(3 * 4 * 4, 5, activation="softmax", rng=rng, name="out"),
+    ], input_shape=(1, 8, 8), name=name)
+
+
+def _two_conv_net(name, seed):
+    """conv1 owns the larger backward scratch but runs backward second."""
+    rng = np.random.default_rng(seed)
+    return Network([
+        Conv2D(1, 4, 5, padding=2, rng=rng, name="c1"),
+        MaxPool2D(2, name="mp"),
+        Conv2D(4, 6, 3, padding=1, rng=rng, name="c2"),
+        Flatten(name="f"),
+        Dense(6 * 4 * 4, 5, activation="softmax", rng=rng, name="out"),
     ], input_shape=(1, 8, 8), name=name)
 
 
@@ -44,28 +62,60 @@ def test_workspace_reuses_buffers_and_counts_allocations():
 def test_forward_backward_steady_state_allocates_nothing(monkeypatch):
     """After a warmup pass, repeated forward/backward at the same batch
     size must hit the workspace for every buffer: np.empty is shimmed
-    with a counter and must not fire again."""
-    net = _net("ws_net", 0)
+    with a counter and must not fire again.  The two-conv network's
+    shared backward scratch grows during warmup, when the larger c1
+    follows c2."""
+    x = np.random.default_rng(1).random((6, 1, 8, 8))
+    for net in (_net("ws_net", 0), _two_conv_net("ws_net2", 0)):
+        ws = Workspace()
+        net.run(x, workspace=ws).gradient_of_class(0)  # warmup sizes pool
+        warm = ws.allocations
+
+        calls = {"empty": 0}
+        real_empty = np.empty
+
+        def counting_empty(*args, **kwargs):
+            calls["empty"] += 1
+            return real_empty(*args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", counting_empty)
+        for _ in range(3):
+            net.run(x, workspace=ws).gradient_of_class(0)
+        monkeypatch.undo()
+        assert ws.allocations == warm, f"{net.name}: pool grew after warmup"
+        assert calls["empty"] == 0, (
+            f"{net.name}: steady-state forward/backward called np.empty "
+            f"{calls['empty']} times")
+
+
+def test_shared_conv_scratch_grows_once_to_the_largest_layer():
+    """The conv backward scratch is keyed per workspace: backward visits
+    c2 first, then grows the shared buffers for the larger c1 — and
+    after that first backward they never grow again."""
+    net = _two_conv_net("shared", 0)
     x = np.random.default_rng(1).random((6, 1, 8, 8))
     ws = Workspace()
-    net.run(x, workspace=ws).gradient_of_class(0)  # warmup sizes the pool
-    warm = ws.allocations
+    tape = net.run(x, workspace=ws)
+    shared = ("conv.backward", "gcols")
+    assert shared not in ws._buffers
+    tape.gradient_of_class(0)
+    # c1's columns: (1*5*5, 8*8*6) beat c2's (4*3*3, 4*4*6).
+    assert ws._buffers[shared].size == 25 * 64 * 6
+    warm = ws.allocations, ws.nbytes()
+    for batch in (6, 3, 6):
+        net.run(x[:batch], workspace=ws).gradient_of_class(0)
+        assert (ws.allocations, ws.nbytes()) == warm
 
-    calls = {"empty": 0}
-    real_empty = np.empty
 
-    def counting_empty(*args, **kwargs):
-        calls["empty"] += 1
-        return real_empty(*args, **kwargs)
-
-    monkeypatch.setattr(np, "empty", counting_empty)
-    for _ in range(3):
-        net.run(x, workspace=ws).gradient_of_class(0)
-    monkeypatch.undo()
-    assert ws.allocations == warm, "workspace pool grew after warmup"
-    assert calls["empty"] == 0, (
-        f"steady-state forward/backward called np.empty "
-        f"{calls['empty']} times")
+def test_lenet5_workspace_no_larger_than_per_layer_scratch():
+    with dtypes.default_dtype(np.float32):
+        net = build_lenet5(rng=0)
+    x = np.random.default_rng(0).random((240, 1, 28, 28)).astype(np.float32)
+    seed = np.zeros((240, 10), dtype=np.float32)
+    seed[:, 3] = 1.0
+    ws = Workspace()
+    net.run(x, workspace=ws).gradient_joint(seed, 0, 0.5)
+    assert ws.nbytes() <= LENET5_NBYTES_PER_LAYER_SCRATCH
 
 
 def test_engine_run_reuses_workspaces_across_iterations():
