@@ -6,7 +6,7 @@ of ``BENCH_fuzz.json``).  Wall-clock numbers are recorded for trend
 data; the *assertions* pin forward-pass counts, which are deterministic
 and machine-independent: the unified engine must spend no more forwards
 (and push no more samples through the models) than the pre-refactor
-``BatchDeepXplore`` did on the identical scenario.
+batch engine did on the identical scenario.
 """
 
 import json
@@ -32,7 +32,7 @@ BENCH_ENGINE_PATH = os.path.join(
     "BENCH_engine.json")
 
 #: Pre-refactor baseline: a one-off ``PassCounter`` measurement of the
-#: seed tree's (commit 3fa3108) ``BatchDeepXplore.run`` over the exact
+#: seed tree's (commit 3fa3108) batch-engine ``run`` over the exact
 #: scenario below — 40 MNIST smoke seeds drawn with rng 71, engine rng
 #: 73, paper hyperparams, lighting constraint.  Because the unified
 #: vanilla engine is pinned bit-identical to that code

@@ -1,11 +1,6 @@
 """The one ascent engine: Algorithm 1, vectorized, strategy-composed.
 
-This module owns the repo's single gradient-ascent loop.  Historically
-the joint-optimization loop existed three times — sequential
-(``DeepXplore``), vectorized (``BatchDeepXplore``) and heavy-ball
-(``MomentumDeepXplore``) — so every improvement had to be written three
-times and momentum could not be combined with batching, campaigns, or
-corpus fuzzing at all.  The split is now:
+This module owns the repo's single gradient-ascent loop, split as:
 
 * :func:`run_ascent` — the loop body itself (lines 8-19 of the paper's
   Algorithm 1), a small vectorized driver with no knowledge of models
@@ -29,7 +24,6 @@ corpus fuzzing at all.  The split is now:
   ``max_seed_visits=``).  Bit-identical to the historical sequential
   engine under fixed RNG (pinned by ``tests/core/test_engine.py``
   against goldens captured from the pre-unification code).
-* :class:`BatchDeepXplore` — a thin alias kept for the historical name.
 
 Coverage semantics: difference-inducing inputs fold their tapes into
 the trackers, as the paper specifies — and so do *exhausted* seeds
@@ -71,7 +65,7 @@ __all__ = ["AscentRule", "AscentContext", "VanillaRule", "MomentumRule",
            "NesterovRule", "AdamRule", "DeepFoolRule", "AdaptiveStepRule",
            "make_rule", "rule_from_identity", "ASCENT_RULES",
            "DEFAULT_MOMENTUM_BETA", "run_ascent", "AscentEngine",
-           "DeepXplore", "BatchDeepXplore", "GeneratedTest",
+           "DeepXplore", "GeneratedTest",
            "GenerationResult", "normalize_gradient"]
 
 
@@ -248,7 +242,7 @@ class AscentEngine:
             raise ConfigError(
                 "all models must share one compute dtype, got "
                 f"{sorted(d.name for d in dtypes_seen)}; convert with "
-                "network_from_payload(network_to_payload(m), dtype=...)")
+                "resolve_models(models, dtype=...)")
         self.dtype = dtypes_seen.pop()
         self.hp = hyperparams or Hyperparams()
         self.constraint = constraint or Unconstrained()
@@ -291,37 +285,41 @@ class AscentEngine:
         return [model.run(x, workspace=ws)
                 for model, ws in zip(self.models, self._workspaces)]
 
-    def _differential_gradient(self, tapes, rows, targets, seed_classes):
-        """Per-sample gradient of obj1 with per-sample target models.
+    def _seeded_backward(self, tapes, rows, targets, seed_classes,
+                         backward):
+        """Sum over models of ``backward(k, tape, seed)`` for obj1's
+        per-sample output seeds, restricted to the active ``rows``.
 
         ``rows`` maps active samples to rows of the tapes' batch (the
-        batch may still contain just-retired samples); the returned
-        gradient covers only the active rows.  One backward per model:
-        the per-sample seed matrix carries each sample's class column and
-        target sign, so no per-class sub-batching is needed.
+        batch may still contain just-retired samples).  Model ``k``'s
+        seed weights each active sample by ``-lambda1`` where ``k`` is
+        that sample's target model and by 1 elsewhere — on the sample's
+        class column for classification, on every output for
+        regression — so one backward per model serves the whole batch
+        with no per-class sub-batching.
         """
-        lam = self.hp.lambda1
+        out_shape = tuple(self.models[0].output_shape)
+        ones = (1,) * len(out_shape)
         batch = tapes[0].batch_size
         grad = None
-        if self.task == "regression":
-            out_ndim = len(self.models[0].output_shape)
-            for k, tape in enumerate(tapes):
-                sign = np.zeros((batch,) + (1,) * out_ndim,
-                                dtype=tape.dtype)
-                sign[rows] = np.where(
-                    targets == k, -lam, 1.0).reshape((-1,) + (1,) * out_ndim)
-                g = tape.gradient_of_output(
-                    np.broadcast_to(sign, (batch,)
-                                    + tuple(self.models[0].output_shape)))
-                grad = g if grad is None else grad + g
-            return grad[rows]
-        n_classes = self.models[0].output_shape[0]
         for k, tape in enumerate(tapes):
-            seed = np.zeros((batch, n_classes), dtype=tape.dtype)
-            seed[rows, seed_classes] = np.where(targets == k, -lam, 1.0)
-            g = tape.gradient_of_output(seed)
+            weights = np.where(targets == k, -self.hp.lambda1, 1.0)
+            if self.task == "regression":
+                sign = np.zeros((batch,) + ones, dtype=tape.dtype)
+                sign[rows] = weights.reshape((-1,) + ones)
+                seed = np.broadcast_to(sign, (batch,) + out_shape)
+            else:
+                seed = np.zeros((batch,) + out_shape, dtype=tape.dtype)
+                seed[rows, seed_classes] = weights
+            g = backward(k, tape, seed)
             grad = g if grad is None else grad + g
         return grad[rows]
+
+    def _differential_gradient(self, tapes, rows, targets, seed_classes):
+        """Per-sample gradient of obj1 with per-sample target models."""
+        return self._seeded_backward(
+            tapes, rows, targets, seed_classes,
+            lambda k, tape, seed: tape.gradient_of_output(seed))
 
     def _coverage_gradient(self, tapes, rows, coverage):
         coverage.pick()
@@ -337,31 +335,12 @@ class AscentEngine:
         path is float32-only; float64 keeps the bit-pinned two-sweep
         golden path.
         """
-        lam = self.hp.lambda1
-        lam2 = self.hp.lambda2
-        batch = tapes[0].batch_size
         neurons = coverage.pick()
-        grad = None
-        if self.task == "regression":
-            out_ndim = len(self.models[0].output_shape)
-            out_shape = tuple(self.models[0].output_shape)
-            for k, tape in enumerate(tapes):
-                sign = np.zeros((batch,) + (1,) * out_ndim,
-                                dtype=tape.dtype)
-                sign[rows] = np.where(
-                    targets == k, -lam, 1.0).reshape((-1,) + (1,) * out_ndim)
-                g = tape.gradient_joint(
-                    np.broadcast_to(sign, (batch,) + out_shape),
-                    neurons[k], lam2)
-                grad = g if grad is None else grad + g
-            return grad[rows]
-        n_classes = self.models[0].output_shape[0]
-        for k, tape in enumerate(tapes):
-            seed = np.zeros((batch, n_classes), dtype=tape.dtype)
-            seed[rows, seed_classes] = np.where(targets == k, -lam, 1.0)
-            g = tape.gradient_joint(seed, neurons[k], lam2)
-            grad = g if grad is None else grad + g
-        return grad[rows]
+        lam2 = self.hp.lambda2
+        return self._seeded_backward(
+            tapes, rows, targets, seed_classes,
+            lambda k, tape, seed: tape.gradient_joint(seed, neurons[k],
+                                                      lam2))
 
     # -- per-seed constraint state ----------------------------------------------
     def _setup_constraints(self, x):
@@ -655,22 +634,10 @@ class DeepXplore(AscentEngine):
             if (not cycle or budget_hit
                     or self._done(result, desired_coverage, max_tests)):
                 break
-        result.elapsed = time.perf_counter() - start
-        result.coverage = {m.name: t.coverage()
-                           for m, t in zip(self.models, self.trackers)}
-        return result
+        return self._finalize(result, start)
 
     def _done(self, result, desired_coverage, max_tests):
         if max_tests is not None and len(result.tests) >= max_tests:
             return True
-        if desired_coverage is not None:
-            mean_cov = float(np.mean([t.coverage() for t in self.trackers]))
-            if mean_cov >= desired_coverage:
-                return True
-        return False
-
-
-class BatchDeepXplore(AscentEngine):
-    """Thin alias of :class:`AscentEngine`, kept for the historical
-    name.  The vectorized whole-seed-set engine *is* the unified engine;
-    new code should say ``AscentEngine``."""
+        return (desired_coverage is not None
+                and self.mean_coverage() >= desired_coverage)

@@ -809,11 +809,7 @@ class FarmDaemon:
                 f"unknown dataset {dataset_name!r}; want one of "
                 f"{sorted(PAPER_HYPERPARAMS)}")
         models, dataset = self._models_for(dataset_name)
-        dtype = request.get("dtype")
-        if dtype is not None and any(
-                str(np.dtype(m.dtype)) != str(np.dtype(dtype))
-                for m in models):
-            models = resolve_models(models, dtype=dtype)
+        models = resolve_models(models, dtype=request.get("dtype"))
         hp = PAPER_HYPERPARAMS[dataset_name]
         task = request.get("task", dataset.task)
         fingerprint = request.get("fingerprint")

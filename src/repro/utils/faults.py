@@ -19,8 +19,11 @@ comma-separated list of arms::
     REPRO_FAULTS="corpus.add-test:3"                # kill on 3rd hit
     REPRO_FAULTS="corpus.commit.mid:1,farm.wave:5:raise"
 
-Each arm is ``point:countdown[:action]``.  The countdown decrements on
-every hit of the matching point; on reaching zero the arm fires once:
+Each arm is ``point:countdown[:action]``.  The point must be one of
+:data:`FAULT_POINTS` and the countdown at least 1 — any other arm could
+never fire, so it is a :class:`~repro.errors.ConfigError`.  The
+countdown decrements on every hit of the matching point; on reaching
+zero the arm fires once:
 
 ``kill``
     ``os._exit(137)`` — the process vanishes exactly as under
@@ -42,7 +45,7 @@ from contextlib import contextmanager
 from repro.errors import ConfigError
 
 __all__ = ["InjectedFault", "fault_point", "inject", "reset_faults",
-           "KILL_EXIT_CODE"]
+           "FAULT_POINTS", "KILL_EXIT_CODE"]
 
 ENV_VAR = "REPRO_FAULTS"
 
@@ -51,6 +54,15 @@ ENV_VAR = "REPRO_FAULTS"
 KILL_EXIT_CODE = 137
 
 ACTIONS = ("kill", "raise")
+
+#: Every point production code declares with :func:`fault_point`.  An
+#: arm for any other name would never fire, so arming one is refused.
+FAULT_POINTS = frozenset({
+    "corpus.add-seed", "corpus.add-test", "corpus.commit.mid",
+    "farm.job.start", "farm.wave", "farm.journal.mid",
+    "dist.pull.entry", "dist.pull.batch", "dist.sync.mid",
+    "dist.shard.claim", "dist.shard.done",
+})
 
 #: Parsed arms for this process (lazy; ``None`` until first use).
 _ARMS = None
@@ -63,6 +75,25 @@ class InjectedFault(RuntimeError):
     faults simulate crashes, and nothing in the library should swallow
     them as a handled configuration problem.
     """
+
+
+def _arm(point, countdown, action):
+    """Validate one arm (from ``REPRO_FAULTS`` or :func:`inject`)."""
+    if action not in ACTIONS:
+        raise ConfigError(
+            f"unknown fault action {action!r}; want one of {ACTIONS}")
+    try:
+        remaining = int(countdown)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"bad fault countdown {countdown!r} for {point!r}") from None
+    if remaining < 1:
+        raise ConfigError(f"fault countdown must be >= 1, got {remaining}")
+    if point not in FAULT_POINTS:
+        raise ConfigError(
+            f"unknown fault point {point!r}; want one of "
+            f"{sorted(FAULT_POINTS)}")
+    return {"point": point, "remaining": remaining, "action": action}
 
 
 def _parse(spec):
@@ -81,19 +112,7 @@ def _parse(spec):
         else:
             raise ConfigError(
                 f"bad fault arm {part!r}; want point:countdown[:action]")
-        if action not in ACTIONS:
-            raise ConfigError(
-                f"unknown fault action {action!r}; want one of {ACTIONS}")
-        try:
-            remaining = int(countdown)
-        except ValueError:
-            raise ConfigError(
-                f"bad fault countdown {countdown!r} in {part!r}") from None
-        if remaining < 1:
-            raise ConfigError(
-                f"fault countdown must be >= 1, got {remaining}")
-        arms.append({"point": point, "remaining": remaining,
-                     "action": action})
+        arms.append(_arm(point, countdown, action))
     return arms
 
 
@@ -134,10 +153,7 @@ def inject(point, countdown=1, action="raise"):
     process alive (``action="raise"``); yields the arm so a test can
     check ``arm["remaining"] == 0`` to confirm the fault really fired.
     """
-    if action not in ACTIONS:
-        raise ConfigError(
-            f"unknown fault action {action!r}; want one of {ACTIONS}")
-    arm = {"point": point, "remaining": int(countdown), "action": action}
+    arm = _arm(point, countdown, action)
     plan = _plan()
     plan.append(arm)
     try:

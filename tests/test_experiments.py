@@ -5,6 +5,7 @@ claims."""
 import numpy as np
 import pytest
 
+from repro.core import GeneratedTest
 from repro.experiments import (EXPERIMENTS, ExperimentResult,
                                run_class_overlap, run_code_vs_neuron,
                                run_coverage_comparison, run_difference_counts,
@@ -12,7 +13,6 @@ from repro.experiments import (EXPERIMENTS, ExperimentResult,
                                run_model_zoo, run_pdf_samples,
                                seeds_for_scale)
 from repro.experiments.difference_counts import attribute_test
-from repro.core.generator import GeneratedTest
 
 
 def test_experiment_registry_complete():
